@@ -34,6 +34,10 @@ std::shared_ptr<ImmutableSegment> BuildScanSegment(uint32_t rows,
       FieldSpec::Metric("impressions", DataType::kLong),
       FieldSpec::Metric("clicks", DataType::kLong),
       FieldSpec::Time("day", DataType::kLong),
+      // ~1% per value: the selective high-cardinality case filters on it.
+      FieldSpec::Dimension("bucket", DataType::kLong),
+      // About one distinct value per row.
+      FieldSpec::Metric("revenue", DataType::kDouble),
   });
   if (!schema.ok()) {
     std::fprintf(stderr, "schema: %s\n", schema.status().ToString().c_str());
@@ -48,9 +52,10 @@ std::shared_ptr<ImmutableSegment> BuildScanSegment(uint32_t rows,
   config.segment_name = "scan_0";
   // Filters go through inverted indexes (the production Pinot setup), so
   // the timed difference is the scan/aggregation pipeline itself.
-  config.inverted_index_columns = {"country", "browser"};
+  config.inverted_index_columns = {"country", "browser", "bucket"};
   SegmentBuilder builder(*schema, config);
   Random rng(seed);
+  Random extra_rng(seed ^ 0x5ca1ab1e);  // Leaves the other columns' draws.
   for (uint32_t i = 0; i < rows; ++i) {
     Row row;
     row.SetString("country", countries[rng.NextUint64(countries.size())])
@@ -58,7 +63,9 @@ std::shared_ptr<ImmutableSegment> BuildScanSegment(uint32_t rows,
         .SetLong("memberId", static_cast<int64_t>(rng.NextUint64(50000)))
         .SetLong("impressions", static_cast<int64_t>(rng.NextUint64(100000)))
         .SetLong("clicks", static_cast<int64_t>(rng.NextUint64(100)))
-        .SetLong("day", 100 + static_cast<int64_t>(rng.NextUint64(30)));
+        .SetLong("day", 100 + static_cast<int64_t>(rng.NextUint64(30)))
+        .SetLong("bucket", static_cast<int64_t>(extra_rng.NextUint64(100)))
+        .SetDouble("revenue", extra_rng.NextDouble() * 1000);
     Status st = builder.AddRow(row);
     if (!st.ok()) {
       std::fprintf(stderr, "AddRow: %s\n", st.ToString().c_str());
@@ -76,7 +83,7 @@ std::shared_ptr<ImmutableSegment> BuildScanSegment(uint32_t rows,
 struct RunStats {
   double rows_per_sec = 0;
   uint64_t docs_scanned = 0;
-  double checksum = 0;  // Keeps the work observable.
+  double checksum = 0;  // Keeps the work observable; compared across paths.
   std::vector<double> latencies_ms;  // One entry per iteration, sorted.
 };
 
@@ -99,7 +106,12 @@ RunStats RunQuery(const SegmentInterface& segment, const Query& query,
     stats.latencies_ms.push_back(millis);
     if (latency != nullptr) latency->Observe(millis);
     stats.docs_scanned += partial.stats.docs_scanned;
-    for (const auto& agg : partial.aggregates) stats.checksum += agg.sum;
+    for (const auto& agg : partial.aggregates) {
+      stats.checksum += agg.sum + static_cast<double>(agg.count);
+      if (agg.distinct != nullptr) {
+        stats.checksum += static_cast<double>(agg.distinct->size());
+      }
+    }
     const GroupTable& groups = partial.groups;
     for (uint32_t g = 0; g < groups.size(); ++g) {
       const AggState* states = groups.StatesAt(g);
@@ -148,6 +160,12 @@ int Main(int argc, char** argv) {
        "browser, day TOP 10000"},
       {"group-by memberId (50k groups)", "groupby-memberId-50k",
        "SELECT sum(impressions) FROM scan GROUP BY memberId TOP 100000"},
+      // ~1% of rows, summing a metric with a dictionary as large as the
+      // segment: cost should track the matched docs, not the dictionary.
+      {"selective sum, high-card metric", "selective-sum-highcard",
+       "SELECT sum(revenue) FROM scan WHERE bucket = 7"},
+      {"distinctcount memberId", "distinctcount",
+       "SELECT distinctcount(memberId) FROM scan WHERE browser = 'firefox'"},
   };
 
   ScanOptions reference;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <charconv>
 #include <cstring>
@@ -270,11 +271,14 @@ void FlushLocalGroups(const std::vector<GroupByColumn>& columns,
 // are identical to the per-document reference path; only the iteration
 // shape changes.
 
-// DISTINCTCOUNT needs per-document, per-value dictionary access (and
-// multi-value explosion), so it stays on the reference path.
-bool AggsBatchable(const std::vector<BoundAggregation>& bound) {
+// Every aggregation over single-value columns has a batched kernel when
+// ungrouped. Grouped DISTINCTCOUNT and DISTINCTCOUNT over a multi-value
+// column (per-doc value explosion) stay on the reference path.
+bool AggsBatchable(const std::vector<BoundAggregation>& bound, bool grouped) {
   for (const auto& b : bound) {
-    if (b.type == AggregationType::kDistinctCount) return false;
+    if (b.type != AggregationType::kDistinctCount) continue;
+    if (grouped) return false;
+    if (b.column != nullptr && !b.column->spec().single_value) return false;
   }
   return true;
 }
@@ -311,65 +315,99 @@ class BlockDecoder {
   std::vector<std::vector<uint32_t>> buffers_;
 };
 
-// Memoized dict-id -> double tables, one per referenced column: metric
-// decode becomes an array load instead of a per-doc dictionary dispatch.
-class ValueTableCache {
- public:
-  const double* TableFor(const ColumnReader& column) {
-    auto [it, inserted] = tables_.try_emplace(&column);
-    if (inserted) {
-      const Dictionary& dict = column.dictionary();
-      auto table = std::make_unique<std::vector<double>>();
-      table->reserve(static_cast<size_t>(dict.size()));
-      for (int id = 0; id < dict.size(); ++id) {
-        table->push_back(dict.DoubleValueAt(id));
-      }
-      it->second = std::move(table);
+// Metric values read in place from the dictionary's typed storage, with
+// Dictionary::DoubleValueAt's conversions (int64 -> double, string -> 0).
+// The storage class is resolved once per call and `fn` gets a dict id ->
+// double reader, so inner loops carry no per-doc dispatch and no query
+// copies the dictionary.
+template <typename Fn>
+void VisitMetricValues(const Dictionary& dict, Fn&& fn) {
+  switch (dict.storage()) {
+    case Dictionary::Storage::kDouble: {
+      const double* values = dict.double_data();
+      fn([values](uint32_t id) { return values[id]; });
+      return;
     }
-    return it->second->data();
+    case Dictionary::Storage::kInt64: {
+      const int64_t* values = dict.int64_data();
+      fn([values](uint32_t id) { return static_cast<double>(values[id]); });
+      return;
+    }
+    case Dictionary::Storage::kString:
+      fn([](uint32_t) { return 0.0; });
+      return;
   }
-
- private:
-  std::unordered_map<const ColumnReader*, std::unique_ptr<std::vector<double>>>
-      tables_;
-};
+}
 
 // Decoded-buffer binding of one batchable aggregation.
 struct AggKernel {
-  int slot = -1;                  // BlockDecoder slot; -1 for COUNT/missing.
-  const double* table = nullptr;  // Null for COUNT and missing columns.
+  int slot = -1;                     // BlockDecoder slot; -1 for COUNT/missing.
+  const Dictionary* dict = nullptr;  // Null for COUNT and missing columns.
+  std::vector<uint64_t> seen;        // DISTINCTCOUNT: bitset of dict ids seen.
 };
 
 std::vector<AggKernel> BindAggKernels(const std::vector<BoundAggregation>& bound,
-                                      BlockDecoder* decoder,
-                                      ValueTableCache* tables) {
+                                      BlockDecoder* decoder) {
   std::vector<AggKernel> kernels(bound.size());
   for (size_t i = 0; i < bound.size(); ++i) {
     if (bound[i].type == AggregationType::kCount) continue;
-    if (bound[i].column != nullptr) {
-      kernels[i].slot = decoder->AddColumn(bound[i].column);
-      kernels[i].table = tables->TableFor(*bound[i].column);
+    if (bound[i].column == nullptr) continue;  // Missing: schema default.
+    kernels[i].slot = decoder->AddColumn(bound[i].column);
+    kernels[i].dict = &bound[i].column->dictionary();
+    if (bound[i].type == AggregationType::kDistinctCount) {
+      kernels[i].seen.assign(
+          (static_cast<size_t>(kernels[i].dict->size()) + 63) / 64, 0);
     }
   }
   return kernels;
+}
+
+// DISTINCTCOUNT flush: each dict id marked during the scan puts its value
+// into the set once (a missing column contributes its default once).
+void FlushDistinct(const BoundAggregation& bound, const AggKernel& kernel,
+                   AggState* state) {
+  if (state->count == 0) return;  // Like the per-doc path: no set.
+  DistinctSet* distinct = state->MutableDistinct();
+  if (kernel.dict == nullptr) {
+    BoundAggregation::AddValueToDistinct(bound.default_value, distinct);
+    return;
+  }
+  for (size_t w = 0; w < kernel.seen.size(); ++w) {
+    for (uint64_t bits = kernel.seen[w]; bits != 0; bits &= bits - 1) {
+      const uint32_t id =
+          static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+      BoundAggregation::AddDictIdToDistinct(*kernel.dict, id, distinct);
+    }
+  }
 }
 
 void ExecuteAggBatched(const std::vector<BoundAggregation>& bound,
                        const DocIdSet& docs, std::vector<AggState>* states,
                        uint64_t* scanned) {
   BlockDecoder decoder;
-  ValueTableCache tables;
-  const std::vector<AggKernel> kernels = BindAggKernels(bound, &decoder, &tables);
+  std::vector<AggKernel> kernels = BindAggKernels(bound, &decoder);
   docs.ForEachBlock([&](const DocIdBlock& block) {
     *scanned += block.count;
     decoder.Decode(block);
     for (size_t i = 0; i < bound.size(); ++i) {
       AggState& st = (*states)[i];
+      AggKernel& kernel = kernels[i];
       if (bound[i].type == AggregationType::kCount) {
         st.count += block.count;
         continue;
       }
-      if (kernels[i].table == nullptr) {
+      if (bound[i].type == AggregationType::kDistinctCount) {
+        if (kernel.dict != nullptr) {
+          const uint32_t* ids = decoder.ids(kernel.slot);
+          uint64_t* seen = kernel.seen.data();
+          for (uint32_t j = 0; j < block.count; ++j) {
+            seen[ids[j] >> 6] |= uint64_t{1} << (ids[j] & 63);
+          }
+        }
+        st.count += block.count;
+        continue;
+      }
+      if (kernel.dict == nullptr) {
         // Missing column: the schema default, once per doc (kept as
         // repeated adds so the float result matches the per-doc path).
         for (uint32_t j = 0; j < block.count; ++j) {
@@ -377,23 +415,29 @@ void ExecuteAggBatched(const std::vector<BoundAggregation>& bound,
         }
         continue;
       }
-      const uint32_t* ids = decoder.ids(kernels[i].slot);
-      const double* table = kernels[i].table;
-      double sum = st.sum;
-      double mn = st.min;
-      double mx = st.max;
-      for (uint32_t j = 0; j < block.count; ++j) {
-        const double v = table[ids[j]];
-        sum += v;
-        if (v < mn) mn = v;
-        if (v > mx) mx = v;
-      }
-      st.sum = sum;
-      st.min = mn;
-      st.max = mx;
+      const uint32_t* ids = decoder.ids(kernel.slot);
+      VisitMetricValues(*kernel.dict, [&](auto value_of) {
+        double sum = st.sum;
+        double mn = st.min;
+        double mx = st.max;
+        for (uint32_t j = 0; j < block.count; ++j) {
+          const double v = value_of(ids[j]);
+          sum += v;
+          if (v < mn) mn = v;
+          if (v > mx) mx = v;
+        }
+        st.sum = sum;
+        st.min = mn;
+        st.max = mx;
+      });
       st.count += block.count;
     }
   });
+  for (size_t i = 0; i < bound.size(); ++i) {
+    if (bound[i].type == AggregationType::kDistinctCount) {
+      FlushDistinct(bound[i], kernels[i], &(*states)[i]);
+    }
+  }
 }
 
 // --- Packed group-by -------------------------------------------------------
@@ -471,9 +515,8 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
                           TraceSpan* span, uint64_t* scanned,
                           PartialResult* out) {
   BlockDecoder decoder;
-  ValueTableCache tables;
   const size_t num_aggs = bound.size();
-  const std::vector<AggKernel> kernels = BindAggKernels(bound, &decoder, &tables);
+  const std::vector<AggKernel> kernels = BindAggKernels(bound, &decoder);
 
   // Key layout: concatenated dict-id bit fields, one per group column.
   struct PackedCol {
@@ -669,18 +712,26 @@ void ExecutePackedGroupBy(const std::vector<BoundAggregation>& bound,
       }
     }
 
-    for (uint32_t j = 0; j < block.count; ++j) {
-      AggState* states =
-          &group_states[static_cast<size_t>(group_idx[j]) * num_aggs];
-      for (size_t i = 0; i < num_aggs; ++i) {
-        if (bound[i].type == AggregationType::kCount) {
-          ++states[i].count;
-        } else {
-          states[i].AddDouble(kernels[i].table != nullptr
-                                  ? kernels[i].table[decoder.ids(
-                                        kernels[i].slot)[j]]
-                                  : bound[i].default_double);
+    // One aggregation at a time, docs in order: each state still sees its
+    // adds in doc order, so results match the per-doc path bit for bit.
+    for (size_t i = 0; i < num_aggs; ++i) {
+      AggState* states = group_states.data() + i;
+      auto state_of = [&](uint32_t j) -> AggState& {
+        return states[static_cast<size_t>(group_idx[j]) * num_aggs];
+      };
+      if (bound[i].type == AggregationType::kCount) {
+        for (uint32_t j = 0; j < block.count; ++j) ++state_of(j).count;
+      } else if (kernels[i].dict == nullptr) {
+        for (uint32_t j = 0; j < block.count; ++j) {
+          state_of(j).AddDouble(bound[i].default_double);
         }
+      } else {
+        const uint32_t* ids = decoder.ids(kernels[i].slot);
+        VisitMetricValues(*kernels[i].dict, [&](auto value_of) {
+          for (uint32_t j = 0; j < block.count; ++j) {
+            state_of(j).AddDouble(value_of(ids[j]));
+          }
+        });
       }
     }
   });
@@ -1258,7 +1309,8 @@ Status ExecuteQueryOnSegment(const SegmentInterface& segment,
       if (span != nullptr) agg_span.Label("kernel", "count-only");
       const int64_t matched = static_cast<int64_t>(docs.Cardinality());
       for (auto& state : states) state.count = matched;
-    } else if (options.batched_decode && AggsBatchable(bound)) {
+    } else if (options.batched_decode &&
+               AggsBatchable(bound, /*grouped=*/false)) {
       if (span != nullptr) agg_span.Label("kernel", "batched");
       uint64_t scanned = 0;
       ExecuteAggBatched(bound, docs, &states, &scanned);
@@ -1321,7 +1373,7 @@ Status ExecuteQueryOnSegment(const SegmentInterface& segment,
   {
     int total_bits = 0;
     if (options.batched_decode && options.packed_groupby &&
-        AggsBatchable(bound) &&
+        AggsBatchable(bound, /*grouped=*/true) &&
         PackedGroupByEligible(group_columns, &total_bits)) {
       uint64_t scanned = 0;
       ExecutePackedGroupBy(bound, group_columns, options, docs,

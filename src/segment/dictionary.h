@@ -72,6 +72,12 @@ class Dictionary {
   /// aggregation.
   double DoubleValueAt(int dict_id) const;
 
+  /// The typed value array itself, indexed by dict id, for kernels that
+  /// read many values in place. Only the array matching storage() is
+  /// populated. The pointer stays valid until a mutable dictionary grows.
+  const int64_t* int64_data() const { return int64_values_.data(); }
+  const double* double_data() const { return double_values_.data(); }
+
   /// Sorted mode only: inclusive dict-id range matching
   /// (lower, upper) with the given inclusiveness. Null bounds are
   /// unbounded. E.g. x > 5 -> RangeFor(5, exclusive, none).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace pinot {
 
@@ -43,6 +44,18 @@ void UnpackAligned(const uint64_t* words, uint32_t start, uint32_t count,
       out[i] = static_cast<uint32_t>(word & kMask);
       word >>= kBits;
     }
+  }
+}
+
+// Calls fn(chunk, n) over the values of `v` in decoded chunks.
+template <typename Fn>
+void ForEachDecodedChunk(const FixedBitVector& v, Fn&& fn) {
+  constexpr uint32_t kChunk = 4096;
+  uint32_t chunk[kChunk];
+  for (uint32_t start = 0; start < v.size(); start += kChunk) {
+    const uint32_t n = std::min(kChunk, v.size() - start);
+    v.GetBatch(start, n, chunk);
+    fn(chunk, n);
   }
 }
 
@@ -185,6 +198,20 @@ ForwardIndex ForwardIndex::BuildMulti(
   return index;
 }
 
+Status ForwardIndex::ValidateDictIds(uint32_t cardinality) const {
+  uint32_t max_id = 0;
+  ForEachDecodedChunk(values_, [&](const uint32_t* ids, uint32_t n) {
+    for (uint32_t i = 0; i < n; ++i) max_id = std::max(max_id, ids[i]);
+  });
+  if (values_.size() > 0 && max_id >= cardinality) {
+    return Status::Corruption("forward index dict id " +
+                              std::to_string(max_id) +
+                              " >= dictionary size " +
+                              std::to_string(cardinality));
+  }
+  return Status::OK();
+}
+
 void ForwardIndex::GetMulti(uint32_t doc, std::vector<uint32_t>* out) const {
   assert(!single_value_);
   out->clear();
@@ -221,6 +248,17 @@ Result<ForwardIndex> ForwardIndex::Deserialize(ByteReader* reader) {
     if (index.offsets_.Get(index.num_docs_) != index.values_.size()) {
       return Status::Corruption("forward index offsets exceed value count");
     }
+    // Non-decreasing offsets keep every doc's [begin, end) inside values_.
+    bool sorted = true;
+    uint32_t prev = 0;
+    ForEachDecodedChunk(index.offsets_, [&](const uint32_t* offsets,
+                                            uint32_t n) {
+      for (uint32_t i = 0; i < n; ++i) {
+        sorted &= offsets[i] >= prev;
+        prev = offsets[i];
+      }
+    });
+    if (!sorted) return Status::Corruption("forward index offsets decrease");
   }
   return index;
 }

@@ -88,6 +88,12 @@ class ForwardIndex {
     return values_.SizeInBytes() + offsets_.SizeInBytes();
   }
 
+  /// Corruption unless every stored dict id (every entry, for multi-value)
+  /// is below `cardinality`. One bulk-decode pass; segment loads run it so
+  /// corrupt ids fail at load instead of indexing past the dictionary at
+  /// query time.
+  Status ValidateDictIds(uint32_t cardinality) const;
+
   void Serialize(ByteWriter* writer) const;
   static Result<ForwardIndex> Deserialize(ByteReader* reader);
 

@@ -222,6 +222,8 @@ Result<std::shared_ptr<ImmutableSegment>> ImmutableSegment::
                            Dictionary::Deserialize(&reader));
     PINOT_ASSIGN_OR_RETURN(ForwardIndex forward,
                            ForwardIndex::Deserialize(&reader));
+    PINOT_RETURN_NOT_OK(forward.ValidateDictIds(
+        static_cast<uint32_t>(dictionary.size())));
     ColumnStats stats;
     PINOT_ASSIGN_OR_RETURN(stats.cardinality, reader.ReadI32());
     PINOT_ASSIGN_OR_RETURN(stats.min_value, ReadValue(&reader));

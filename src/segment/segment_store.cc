@@ -308,6 +308,8 @@ Result<std::shared_ptr<ImmutableSegment>> LoadSegmentFromDirectory(
     ByteReader forward_reader(forward_slice);
     PINOT_ASSIGN_OR_RETURN(ForwardIndex forward,
                            ForwardIndex::Deserialize(&forward_reader));
+    PINOT_RETURN_NOT_OK(forward.ValidateDictIds(
+        static_cast<uint32_t>(dictionary.size())));
     auto column = std::make_unique<ImmutableSegment::Column>(
         *spec, std::move(dictionary), std::move(forward), stats);
 
@@ -380,6 +382,8 @@ Status AppendInvertedIndexToDirectory(const std::string& dir,
   ByteReader forward_reader(forward_slice);
   PINOT_ASSIGN_OR_RETURN(ForwardIndex forward,
                          ForwardIndex::Deserialize(&forward_reader));
+  PINOT_RETURN_NOT_OK(
+      forward.ValidateDictIds(static_cast<uint32_t>(dictionary.size())));
 
   const InvertedIndex inverted =
       InvertedIndex::BuildFromForwardIndex(forward, dictionary.size());

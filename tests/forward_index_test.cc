@@ -163,6 +163,33 @@ TEST(ForwardIndexTest, DeserializeRejectsDocCountMismatch) {
   EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
 }
 
+TEST(ForwardIndexTest, DeserializeRejectsDecreasingOffsets) {
+  // Multi-value layout: u8 single_value, u32 num_docs, values, offsets.
+  // Offsets {0, 5, 3} end at the value count (3) but doc 0 would read
+  // entries [0, 5) of a 3-entry vector.
+  ByteWriter writer;
+  writer.WriteU8(0);
+  writer.WriteU32(2);
+  FixedBitVector({0, 1, 2}, 2).Serialize(&writer);
+  FixedBitVector({0, 5, 3}, 5).Serialize(&writer);
+  ByteReader reader(writer.buffer());
+  auto restored = ForwardIndex::Deserialize(&reader);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
+}
+
+TEST(ForwardIndexTest, ValidateDictIdsChecksEveryEntry) {
+  // Ids must be below the dictionary size, for every multi-value entry
+  // too; an empty index is valid against any dictionary.
+  const ForwardIndex single = ForwardIndex::BuildSingle({0, 3, 1}, 4);
+  EXPECT_TRUE(single.ValidateDictIds(4).ok());
+  EXPECT_EQ(single.ValidateDictIds(3).code(), StatusCode::kCorruption);
+  const ForwardIndex multi = ForwardIndex::BuildMulti({{0}, {}, {1, 5}}, 6);
+  EXPECT_TRUE(multi.ValidateDictIds(6).ok());
+  EXPECT_EQ(multi.ValidateDictIds(5).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(ForwardIndex::BuildSingle({}, 0).ValidateDictIds(0).ok());
+}
+
 TEST(ForwardIndexTest, SingleValue) {
   ForwardIndex index = ForwardIndex::BuildSingle({2, 0, 1, 2}, 3);
   EXPECT_TRUE(index.single_value());

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 
+#include "common/random.h"
+#include "query/segment_executor.h"
 #include "tests/test_util.h"
 
 namespace pinot {
@@ -219,6 +222,73 @@ TEST(MutableSegmentTest, ConcurrentIngestAndQuery) {
   std::shared_ptr<SegmentInterface> view(&segment, [](SegmentInterface*) {});
   auto result = test::RunPql({view}, "SELECT count(*) FROM t");
   EXPECT_EQ(std::get<int64_t>(result.aggregates[0]), kRows);
+}
+
+TEST(MutableSegmentTest, ConcurrentIngestAndDoubleSum) {
+  // Readers sum a high-cardinality double metric while the writer indexes.
+  // The batched kernel reads the dictionary's value array in place, and
+  // Index may reallocate that array, so each query holds the shared lock
+  // for its whole execution (as Server::ExecuteServerQuery does). Every
+  // answer must equal, bit for bit, the doc-order prefix sum for the doc
+  // count seen under that lock hold, on the batched and per-doc paths.
+  auto schema = Schema::Make({
+      FieldSpec::Dimension("k", DataType::kLong),
+      FieldSpec::Metric("revenue", DataType::kDouble),
+  });
+  ASSERT_TRUE(schema.ok());
+  SimulatedClock clock;
+  MutableSegment segment(*schema, "t", "s", &clock);
+  constexpr int kRows = 6000;
+  Random rng(7);
+  std::vector<double> values(kRows);
+  std::vector<double> prefix(kRows + 1, 0.0);
+  for (int i = 0; i < kRows; ++i) {
+    values[i] = rng.NextDouble() * 100;  // ~One distinct value per row.
+    prefix[i + 1] = prefix[i] + values[i];
+  }
+  auto query = ParsePql("SELECT sum(revenue) FROM t");
+  ASSERT_TRUE(query.ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+
+  std::thread writer([&] {
+    for (int i = 0; i < kRows; ++i) {
+      Row row;
+      row.SetLong("k", i).SetDouble("revenue", values[i]);
+      if (!segment.Index(row).ok()) failures.fetch_add(1);
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      // Bounded, so a starved writer still finishes once readers stop.
+      for (int iter = 0; iter < 2000 && !done.load(); ++iter) {
+        {
+          auto lock = segment.AcquireReadLock();
+          const uint32_t docs = segment.num_docs();
+          ScanOptions options;
+          options.batched_decode = (iter + r) % 2 == 0;
+          PartialResult partial;
+          const Status st =
+              ExecuteQueryOnSegment(segment, *query, options, &partial);
+          if (!st.ok() || partial.aggregates.size() != 1 ||
+              partial.aggregates[0].count != static_cast<int64_t>(docs) ||
+              std::memcmp(&partial.aggregates[0].sum, &prefix[docs],
+                          sizeof(double)) != 0) {
+            failures.fetch_add(1);
+          }
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  PartialResult final_result;
+  ASSERT_TRUE(ExecuteQueryOnSegment(segment, *query, &final_result).ok());
+  EXPECT_EQ(final_result.aggregates[0].sum, prefix[kRows]);
 }
 
 TEST(MutableSegmentTest, MissingFieldsUseDefaults) {

@@ -1,9 +1,13 @@
+#include <bit>
+#include <cstdio>
 #include <map>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "query/segment_executor.h"
+#include "realtime/mutable_segment.h"
+#include "realtime/upsert_meta.h"
 #include "tests/test_util.h"
 
 namespace pinot {
@@ -423,7 +427,8 @@ TEST(BatchedScanEquivalenceTest, BatchedPathsMatchPerDocReference) {
       // agree (exploded combinations).
       "SELECT count(*), sum(impressions) FROM t GROUP BY tags TOP 1000",
       "SELECT count(*) FROM t GROUP BY country, tags TOP 1000",
-      // DISTINCTCOUNT stays on the reference path in every configuration.
+      // Grouped DISTINCTCOUNT stays on the reference path in every
+      // configuration.
       "SELECT distinctcount(browser) FROM t WHERE country = 'us' GROUP BY "
       "country TOP 1000",
   };
@@ -448,6 +453,256 @@ TEST(BatchedScanEquivalenceTest, BatchedPathsMatchPerDocReference) {
                         expected, pql, "batched decode, string keys");
     }
   }
+}
+
+// --- In-place metric reads and batched DISTINCTCOUNT ------------------------
+//
+// High-cardinality metrics (about one distinct value per row) aggregated
+// over ~1% of docs, on every segment kind the batched kernels read from:
+// sorted immutable dictionaries, a schema-evolved segment with missing
+// columns, a consuming segment whose unsorted dictionary grows between
+// queries, and an upsert segment with invalidated docs. Batched and per-doc
+// states must agree bit for bit, not just after rendering.
+
+Schema HighCardSchema() {
+  return *Schema::Make({
+      FieldSpec::Dimension("bucket", DataType::kLong),
+      FieldSpec::Dimension("country", DataType::kString),
+      FieldSpec::Dimension("d_long", DataType::kLong),
+      FieldSpec::Dimension("tags", DataType::kString, /*single_value=*/false),
+      FieldSpec::Metric("m_double", DataType::kDouble),
+      FieldSpec::Metric("m_long", DataType::kLong),
+      FieldSpec::Time("day", DataType::kLong),
+  });
+}
+
+std::vector<Row> HighCardRows(uint64_t seed, int n) {
+  static const char* kCountries[] = {"us", "ca", "de", "fr",
+                                     "jp", "br", "in", "uk"};
+  Random rng(seed);
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) {
+    Row row;
+    std::vector<std::string> tags;
+    for (uint64_t t = rng.NextUint64(4); t > 0; --t) {
+      tags.push_back("tag" + std::to_string(rng.NextUint64(6)));
+    }
+    row.SetLong("bucket", static_cast<int64_t>(rng.NextUint64(100)))
+        .SetString("country", kCountries[rng.NextUint64(8)])
+        .SetLong("d_long", static_cast<int64_t>(rng.NextUint64(500)))
+        .SetStringArray("tags", std::move(tags))
+        .SetDouble("m_double", rng.NextDouble() * 1000 - 500)
+        .SetLong("m_long",
+                 static_cast<int64_t>(rng.NextUint64(uint64_t{1} << 40)))
+        .SetLong("day", 100 + static_cast<int64_t>(rng.NextUint64(30)));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+std::shared_ptr<ImmutableSegment> BuildHighCardSegment(
+    const std::vector<Row>& rows) {
+  SegmentBuildConfig config;
+  config.table_name = "t";
+  config.segment_name = "t_0";
+  config.inverted_index_columns = {"bucket"};  // Scattered bitmap doc sets.
+  SegmentBuilder builder(HighCardSchema(), config);
+  for (const auto& row : rows) EXPECT_TRUE(builder.AddRow(row).ok());
+  auto segment = builder.Build();
+  EXPECT_TRUE(segment.ok()) << segment.status().ToString();
+  return *segment;
+}
+
+// A segment built before `m_new` and `d_new` joined the schema: the schema
+// has the fields, the segment has no columns for them.
+class SchemaEvolvedSegment : public SegmentInterface {
+ public:
+  explicit SchemaEvolvedSegment(std::shared_ptr<SegmentInterface> base)
+      : base_(std::move(base)), schema_(base_->schema()) {
+    EXPECT_TRUE(schema_.AddField(FieldSpec::Metric("m_new", DataType::kDouble))
+                    .ok());
+    EXPECT_TRUE(
+        schema_.AddField(FieldSpec::Dimension("d_new", DataType::kString))
+            .ok());
+  }
+  const Schema& schema() const override { return schema_; }
+  uint32_t num_docs() const override { return base_->num_docs(); }
+  const SegmentMetadata& metadata() const override {
+    return base_->metadata();
+  }
+  const ColumnReader* GetColumn(const std::string& name) const override {
+    return base_->GetColumn(name);
+  }
+
+ private:
+  std::shared_ptr<SegmentInterface> base_;
+  Schema schema_;
+};
+
+// IEEE-754 bit patterns of sum/min/max, the count, and the distinct-set
+// size (-1 without a set).
+std::string StateBits(const AggState& s) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%016llx/%016llx/%016llx/%lld/%lld",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(s.sum)),
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(s.min)),
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(s.max)),
+                static_cast<long long>(s.count),
+                static_cast<long long>(s.distinct ? s.distinct->size() : -1));
+  return buf;
+}
+
+// Executes `pql` on one segment and renders the partial result's states
+// bit for bit (groups ordered by encoded key); `kernel` receives the
+// ungrouped aggregation kernel label.
+std::string PartialBits(const SegmentInterface& segment, const std::string& pql,
+                        const ScanOptions& options, std::string* kernel) {
+  auto query = ParsePql(pql);
+  EXPECT_TRUE(query.ok()) << pql;
+  PartialResult partial;
+  TraceSpan span = TraceSpan::Open("segment");
+  Status st = ExecuteQueryOnSegment(segment, *query, options, &span, &partial);
+  EXPECT_TRUE(st.ok()) << pql << ": " << st.ToString();
+  span.Close();
+  for (const auto& child : span.children) {
+    if (child.name == "aggregate") *kernel = child.LabelValue("kernel");
+  }
+  std::string out;
+  for (const auto& state : partial.aggregates) out += StateBits(state) + ";";
+  std::map<std::string, std::string> groups;
+  for (uint32_t g = 0; g < partial.groups.size(); ++g) {
+    std::string states;
+    for (size_t i = 0; i < partial.groups.num_aggs(); ++i) {
+      states += StateBits(partial.groups.StatesAt(g)[i]) + ";";
+    }
+    groups[std::string(partial.groups.EncodedKeyAt(g))] = states;
+  }
+  for (const auto& [key, states] : groups) out += key + "=" + states + "\n";
+  return out + "scanned=" + std::to_string(partial.stats.docs_scanned);
+}
+
+// Asserts batched == per-doc bit for bit and returns the batched kernel.
+std::string ExpectBitIdentical(const SegmentInterface& segment,
+                               const std::string& pql,
+                               const std::string& what) {
+  ScanOptions reference;
+  reference.batched_decode = false;
+  reference.packed_groupby = false;
+  std::string reference_kernel, batched_kernel;
+  const std::string expected =
+      PartialBits(segment, pql, reference, &reference_kernel);
+  EXPECT_EQ(PartialBits(segment, pql, ScanOptions{}, &batched_kernel),
+            expected)
+      << what << ": " << pql;
+  return batched_kernel;
+}
+
+const std::vector<std::string>& HighCardQueries() {
+  static const std::vector<std::string> queries = {
+      "SELECT sum(m_double), min(m_double), max(m_double), avg(m_double) "
+      "FROM t WHERE bucket = 7",
+      "SELECT sum(m_long), min(m_long), max(m_long) FROM t WHERE bucket = 7",
+      "SELECT sum(m_double) FROM t",  // Contiguous (range) doc blocks.
+      "SELECT sum(m_double), sum(m_long) FROM t WHERE bucket = 7 GROUP BY "
+      "country TOP 100",
+      "SELECT count(*), avg(m_double), max(m_long) FROM t WHERE bucket < 2 "
+      "GROUP BY country, bucket TOP 1000",
+      "SELECT max(m_double) FROM t WHERE bucket = 3 GROUP BY d_long TOP 1000",
+  };
+  return queries;
+}
+
+// Ungrouped single-value DISTINCTCOUNT (string, long, double) runs batched.
+const std::vector<std::string>& DistinctQueries() {
+  static const std::vector<std::string> queries = {
+      "SELECT distinctcount(country), distinctcount(d_long), "
+      "distinctcount(m_double) FROM t WHERE bucket < 50",
+      "SELECT distinctcount(m_long), count(*), sum(m_double) FROM t WHERE "
+      "bucket = 7",
+      "SELECT distinctcount(d_long) FROM t",
+      "SELECT distinctcount(country) FROM t WHERE bucket = 1000",  // No docs.
+  };
+  return queries;
+}
+
+void ExpectHighCardEquivalence(const SegmentInterface& segment,
+                               const std::string& what) {
+  for (const auto& pql : HighCardQueries()) {
+    ExpectBitIdentical(segment, pql, what);
+  }
+  for (const auto& pql : DistinctQueries()) {
+    EXPECT_EQ(ExpectBitIdentical(segment, pql, what), "batched")
+        << what << ": " << pql;
+  }
+  // Multi-value DISTINCTCOUNT stays on the reference path; grouped
+  // DISTINCTCOUNT goes through the string-key group-by.
+  EXPECT_EQ(ExpectBitIdentical(segment,
+                               "SELECT distinctcount(tags), sum(m_double) "
+                               "FROM t WHERE bucket < 50",
+                               what),
+            "per-doc")
+      << what;
+  ExpectBitIdentical(segment,
+                     "SELECT distinctcount(m_double) FROM t WHERE bucket < 10 "
+                     "GROUP BY country TOP 100",
+                     what);
+}
+
+TEST(InPlaceMetricKernelTest, ImmutableHighCardinalityMatchesPerDoc) {
+  const auto rows = HighCardRows(11, 6000);
+  auto segment = BuildHighCardSegment(rows);
+  // About one distinct metric value per row.
+  EXPECT_GT(segment->GetColumn("m_double")->dictionary().size(), 5900);
+  EXPECT_GT(segment->GetColumn("m_long")->dictionary().size(), 5900);
+  ExpectHighCardEquivalence(*segment, "immutable");
+}
+
+TEST(InPlaceMetricKernelTest, MissingColumnDefaultsMatchPerDoc) {
+  SchemaEvolvedSegment segment(BuildHighCardSegment(HighCardRows(12, 5000)));
+  ASSERT_EQ(segment.GetColumn("m_new"), nullptr);
+  ExpectHighCardEquivalence(segment, "schema-evolved");
+  for (const std::string pql : {
+           "SELECT sum(m_new), min(m_new), avg(m_new) FROM t WHERE bucket = 7",
+           "SELECT distinctcount(d_new), distinctcount(country) FROM t WHERE "
+           "bucket < 20",
+           "SELECT distinctcount(d_new) FROM t WHERE bucket = 1000",
+           "SELECT sum(m_new), max(m_double) FROM t WHERE bucket = 7 GROUP BY "
+           "country TOP 100",
+       }) {
+    ExpectBitIdentical(segment, pql, "missing column");
+  }
+}
+
+TEST(InPlaceMetricKernelTest, ConsumingSegmentWithGrowingDictionary) {
+  SimulatedClock clock;
+  MutableSegment segment(HighCardSchema(), "t", "t__0__0", &clock);
+  const auto rows = HighCardRows(13, 6000);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(segment.Index(rows[i]).ok());
+    // Query at several sizes, so later queries read a dictionary that grew
+    // (and reallocated) since the earlier ones.
+    if (i + 1 == 1000 || i + 1 == 4500 || i + 1 == rows.size()) {
+      EXPECT_FALSE(segment.GetColumn("m_double")->dictionary().sorted());
+      ExpectHighCardEquivalence(segment,
+                                "consuming@" + std::to_string(i + 1));
+    }
+  }
+}
+
+TEST(InPlaceMetricKernelTest, UpsertSegmentSkipsInvalidatedDocs) {
+  auto segment = BuildHighCardSegment(HighCardRows(14, 6000));
+  auto tracker = std::make_shared<ValidDocsTracker>();
+  for (uint32_t doc = 0; doc < segment->num_docs(); doc += 3) {
+    tracker->Invalidate(doc);
+  }
+  segment->SetValidDocs(tracker);
+  ExpectHighCardEquivalence(*segment, "upsert");
+  // The invalidated docs really are gone from the batched answer.
+  std::string kernel;
+  const std::string all =
+      PartialBits(*segment, "SELECT count(*), distinctcount(d_long) FROM t",
+                  ScanOptions{}, &kernel);
+  EXPECT_NE(all.find("/4000/"), std::string::npos) << all;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 
 #include "common/random.h"
@@ -107,13 +108,14 @@ std::string RandomQuery(Random& rng) {
   static const char* kAggs[] = {
       "count(*)",         "sum(m_long)",           "min(m_double)",
       "max(m_long)",      "avg(m_double)",         "distinctcount(d_int)",
-      "sum(m_double)",    "distinctcount(d_str)",
+      "sum(m_double)",    "distinctcount(d_str)",  "distinctcount(m_double)",
+      "distinctcount(d_multi)",
   };
   std::string pql = "SELECT ";
   const int num_aggs = 1 + static_cast<int>(rng.NextUint64(3));
   for (int i = 0; i < num_aggs; ++i) {
     if (i > 0) pql += ", ";
-    pql += kAggs[rng.NextUint64(8)];
+    pql += kAggs[rng.NextUint64(std::size(kAggs))];
   }
   pql += " FROM fuzz";
   const int num_preds = static_cast<int>(rng.NextUint64(4));  // 0..3.

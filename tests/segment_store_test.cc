@@ -125,5 +125,33 @@ TEST_F(SegmentStoreTest, MissingDirectory) {
   EXPECT_FALSE(loaded.ok());
 }
 
+TEST_F(SegmentStoreTest, RejectsDictIdsPastDictionary) {
+  // Block CRCs are valid, but the forward index holds id 3 against a
+  // two-entry dictionary; both directory-format loads must refuse it.
+  auto schema = Schema::Make({FieldSpec::Dimension("k", DataType::kLong)});
+  ASSERT_TRUE(schema.ok());
+  SegmentMetadata metadata;
+  metadata.table_name = "t";
+  metadata.segment_name = "t_0";
+  metadata.num_docs = 3;
+  Dictionary dict = Dictionary::BuildSortedInt64({7, 8});
+  ColumnStats stats;
+  stats.cardinality = dict.size();
+  stats.min_value = dict.MinValue();
+  stats.max_value = dict.MaxValue();
+  std::vector<std::unique_ptr<ImmutableSegment::Column>> columns;
+  columns.push_back(std::make_unique<ImmutableSegment::Column>(
+      schema->field(0), std::move(dict),
+      ForwardIndex::BuildSingle({0, 3, 1}, 4), stats));
+  ImmutableSegment segment(*schema, metadata, std::move(columns));
+  ASSERT_TRUE(SaveSegmentToDirectory(segment, dir_.string()).ok());
+
+  auto loaded = LoadSegmentFromDirectory(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(AppendInvertedIndexToDirectory(dir_.string(), "k").code(),
+            StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace pinot

@@ -202,6 +202,63 @@ TEST(SegmentTest, DeserializeDetectsCorruption) {
   EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
 }
 
+// A blob whose CRC is valid but whose forward index holds dict ids past
+// the dictionary: the load must refuse it, not hand queries an index that
+// reads past the dictionary's value array.
+std::string BlobWithDictIds(std::vector<uint32_t> sv_ids,
+                            std::vector<std::vector<uint32_t>> mv_ids) {
+  auto schema = Schema::Make({
+      FieldSpec::Metric("m", DataType::kDouble),
+      FieldSpec::Dimension("tags", DataType::kLong, /*single_value=*/false),
+  });
+  EXPECT_TRUE(schema.ok());
+  SegmentMetadata metadata;
+  metadata.table_name = "t";
+  metadata.segment_name = "t_0";
+  metadata.num_docs = static_cast<uint32_t>(sv_ids.size());
+  auto column = [](const FieldSpec& spec, Dictionary dict, ForwardIndex fwd) {
+    ColumnStats stats;
+    stats.cardinality = dict.size();
+    stats.min_value = dict.MinValue();
+    stats.max_value = dict.MaxValue();
+    return std::make_unique<ImmutableSegment::Column>(
+        spec, std::move(dict), std::move(fwd), stats);
+  };
+  std::vector<std::unique_ptr<ImmutableSegment::Column>> columns;
+  // Bit widths are sized for the largest id, so out-of-range ids pack.
+  uint32_t sv_max = 0, mv_max = 0;
+  for (uint32_t id : sv_ids) sv_max = std::max(sv_max, id);
+  for (const auto& ids : mv_ids) {
+    for (uint32_t id : ids) mv_max = std::max(mv_max, id);
+  }
+  columns.push_back(column(schema->field(0),
+                           Dictionary::BuildSortedDouble({0.5, 1.5}),
+                           ForwardIndex::BuildSingle(sv_ids, sv_max + 1)));
+  columns.push_back(column(schema->field(1),
+                           Dictionary::BuildSortedInt64({7, 8, 9}),
+                           ForwardIndex::BuildMulti(mv_ids, mv_max + 1)));
+  ImmutableSegment segment(*schema, metadata, std::move(columns));
+  return segment.SerializeToBlob();  // Computes the CRC over the body.
+}
+
+TEST(SegmentTest, DeserializeRejectsDictIdsPastDictionary) {
+  const std::vector<std::vector<uint32_t>> mv_ok = {{0, 2}, {}, {1}};
+  ASSERT_TRUE(ImmutableSegment::DeserializeFromBlob(
+                  BlobWithDictIds({0, 1, 1}, mv_ok))
+                  .ok());
+
+  auto sv_bad = ImmutableSegment::DeserializeFromBlob(
+      BlobWithDictIds({0, 3, 1}, mv_ok));
+  ASSERT_FALSE(sv_bad.ok());
+  EXPECT_EQ(sv_bad.status().code(), StatusCode::kCorruption);
+
+  // Multi-value: only a non-first entry of one doc is out of range.
+  auto mv_bad = ImmutableSegment::DeserializeFromBlob(
+      BlobWithDictIds({0, 1, 1}, {{0, 2}, {}, {1, 3}}));
+  ASSERT_FALSE(mv_bad.ok());
+  EXPECT_EQ(mv_bad.status().code(), StatusCode::kCorruption);
+}
+
 TEST(SegmentTest, PartitionMetadataPreserved) {
   SegmentBuildConfig config;
   config.partition_id = 3;
